@@ -7,7 +7,7 @@ FUZZTIME ?= 10s
 RACE_PKGS = ./internal/mpi ./internal/core ./internal/stage ./internal/cache ./internal/server ./internal/obs \
 	./internal/cluster/shardmap ./internal/cluster/health ./internal/cluster/fault ./internal/cluster/router
 
-.PHONY: build test vet vet-fast mlocvet mlocvet-baseline race bench-json bench-query fuzz-short fuzz-list fuzz-list-check serve-smoke cluster-smoke obslint check
+.PHONY: build test vet mlocvet mlocvet-baseline race bench-json bench-query fuzz-short fuzz-list fuzz-list-check serve-smoke cluster-smoke obslint check
 
 build:
 	$(GO) build ./...
@@ -20,13 +20,6 @@ test:
 vet:
 	$(GO) vet ./...
 	$(GO) run ./cmd/mlocvet -baseline mlocvet-baseline.json ./...
-
-## vet-fast: the PR fast path — diff against BASE_REF (default
-## origin/main) and run only the analyzers or packages the change can
-## affect. `make check` keeps the full suite; this is a latency
-## optimization for pull-request iteration, not the gate of record.
-vet-fast:
-	./scripts/vet_fast.sh
 
 ## mlocvet: just the custom analyzer suite (baseline-gated).
 mlocvet:

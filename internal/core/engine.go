@@ -30,6 +30,26 @@ type task struct {
 	filterVC bool
 }
 
+// execPlan is what the executor runs. planQuery builds it for Query and
+// Explain, planFetch for FetchAt; execute runs either one.
+type execPlan struct {
+	req *query.Request
+	// level is the resolved PLoD level data pieces are read and decoded
+	// at.
+	level int
+	// tasks lists the work in column order (bin-major, then storage
+	// order within the bin).
+	tasks []task
+	// bins counts the bins holding at least one task.
+	bins int
+	// hier, on the hierarchical path, carries the inside-subtree roots
+	// answered from the vindex by runNodes and the pruning accounting.
+	hier *binning.Selection
+	// positions, when set, restricts the output to these linear
+	// indices; a unit holding none of them is neither read nor decoded.
+	positions *bitmap.Bitmap
+}
+
 // rankOut accumulates one rank's results. reassemble and filter split
 // the Reconstruct component for span attribution (index/offset decoding
 // vs. the match-filter loop); their sum always equals time.Reconstruct.
@@ -42,6 +62,8 @@ type rankOut struct {
 	nodesRead  int
 	reassemble float64
 	filter     float64
+	// fetchWall is the wall time spent in PFS reads.
+	fetchWall time.Duration
 }
 
 // Query executes a request over the given number of parallel ranks,
@@ -59,53 +81,55 @@ func (s *Store) Query(req *query.Request, ranks int) (*query.Result, error) {
 // so a disconnected caller frees its serving slot instead of running
 // the access to completion.
 func (s *Store) QueryContext(ctx context.Context, req *query.Request, ranks int) (*query.Result, error) {
-	if err := req.Validate(s.meta.shape); err != nil {
-		return nil, err
-	}
+	return s.execute(ctx, ranks, func() (*execPlan, error) { return s.planQuery(req) })
+}
+
+// execute runs a plan over the given number of parallel ranks: the
+// planner runs under the "plan" span, the tasks and vindex nodes are
+// assigned to ranks, each rank runs its bins and then its nodes, and
+// the rank outputs are gathered into one result whose latency is the
+// slowest rank's.
+func (s *Store) execute(ctx context.Context, ranks int, planner func() (*execPlan, error)) (*query.Result, error) {
 	if ranks < 1 {
 		return nil, fmt.Errorf("core: ranks %d < 1", ranks)
 	}
 	if err := ctx.Err(); err != nil {
 		return nil, fmt.Errorf("core: query canceled: %w", err)
 	}
-	level := req.PLoDLevel
-	if level == 0 {
-		level = plod.MaxLevel
-	}
-	if s.meta.mode == ModeFloats && level != plod.MaxLevel {
-		return nil, fmt.Errorf("core: store mode %q does not support PLoD level %d (use the planes/COL mode)",
-			s.meta.mode, level)
-	}
-
 	_, ps := obs.StartSpan(ctx, "plan")
-	tasks, binsAccessed, hier := s.planTasks(req)
-	perRank := s.assignTasks(tasks, ranks)
+	p, err := planner()
+	if err != nil {
+		ps.End()
+		return nil, err
+	}
+	perRank := s.assignTasks(p.tasks, ranks)
 	var perRankNodes [][]binning.NodeRef
-	if hier != nil {
+	if p.hier != nil {
 		loads := make([]int, ranks)
 		for r := range perRank {
 			loads[r] = len(perRank[r])
 		}
-		perRankNodes = assignNodes(hier.Inside, loads)
-		ps.SetInt("bins_pruned", int64(hier.PrunedLeaves))
-		ps.SetInt("bins_covered", int64(hier.CoveredLeaves))
-		ps.SetInt("index_nodes", int64(len(hier.Inside)))
+		perRankNodes = assignNodes(p.hier.Inside, loads)
+		ps.SetInt("bins_pruned", int64(p.hier.PrunedLeaves))
+		ps.SetInt("bins_covered", int64(p.hier.CoveredLeaves))
+		ps.SetInt("index_nodes", int64(len(p.hier.Inside)))
 	}
-	ps.SetInt("tasks", int64(len(tasks)))
-	ps.SetInt("bins", int64(binsAccessed))
+	ps.SetInt("tasks", int64(len(p.tasks)))
+	ps.SetInt("bins", int64(p.bins))
 	ps.SetInt("ranks", int64(ranks))
 	ps.End()
 
 	outs := make([]rankOut, ranks)
 	clks := s.fs.NewClocks(ranks)
-	err := mpi.Run(ranks, func(c *mpi.Comm) error {
+	err = mpi.Run(ranks, func(c *mpi.Comm) error {
+		r := c.Rank()
 		rctx, rs := obs.StartSpan(ctx, "rank")
-		rs.SetInt("rank", int64(c.Rank()))
-		rerr := s.runRank(rctx, clks[c.Rank()], perRank[c.Rank()], req, level, &outs[c.Rank()])
+		rs.SetInt("rank", int64(r))
+		o := &outs[r]
+		rerr := s.runBins(rctx, clks[r], p, perRank[r], o)
 		if rerr == nil && perRankNodes != nil {
-			rerr = s.runNodes(rctx, clks[c.Rank()], perRankNodes[c.Rank()], req, &outs[c.Rank()])
+			rerr = s.runNodes(rctx, clks[r], p, perRankNodes[r], o)
 		}
-		o := &outs[c.Rank()]
 		rs.SetFloat("virt_total_s", o.time.Total())
 		rs.SetInt("matches", int64(len(o.matches)))
 		rs.SetInt("bytes", o.bytes)
@@ -117,14 +141,14 @@ func (s *Store) QueryContext(ctx context.Context, req *query.Request, ranks int)
 		return nil, err
 	}
 
-	res := &query.Result{BinsAccessed: binsAccessed}
-	if hier != nil {
+	res := &query.Result{BinsAccessed: p.bins}
+	if p.hier != nil {
 		// Covered leaves were answered from aggregated node bitmaps;
 		// they count as accessed (their contents were served) even
 		// though no per-bin file was touched.
-		res.BinsAccessed += hier.CoveredLeaves
-		res.BinsPruned = hier.PrunedLeaves
-		res.BinsCovered = hier.CoveredLeaves
+		res.BinsAccessed += p.hier.CoveredLeaves
+		res.BinsPruned = p.hier.PrunedLeaves
+		res.BinsCovered = p.hier.CoveredLeaves
 	}
 	var slowest float64
 	for i := range outs {
@@ -151,22 +175,32 @@ func (s *Store) hierPlan(req *query.Request) bool {
 	return s.vidx != nil && req.VC != nil && req.IndexOnly
 }
 
-// planTasks selects bins by VC and chunks by SC, producing the task
-// list in column order (bin-major, then storage order within the bin).
-// On the hierarchical path only boundary leaves become tasks; the
-// returned Selection carries the inside-subtree roots (answered from
-// the vindex by runNodes) and the pruning accounting.
-func (s *Store) planTasks(req *query.Request) ([]task, int, *binning.Selection) {
+// planQuery validates a request, resolves its PLoD level, and selects
+// bins by VC and chunks by SC, producing the task list in column order.
+// On the hierarchical path only boundary leaves become tasks; the plan
+// carries the inside-subtree roots and the pruning accounting.
+func (s *Store) planQuery(req *query.Request) (*execPlan, error) {
+	if err := req.Validate(s.meta.shape); err != nil {
+		return nil, err
+	}
+	p := &execPlan{req: req, level: req.PLoDLevel}
+	if p.level == 0 {
+		p.level = plod.MaxLevel
+	}
+	if s.meta.mode == ModeFloats && p.level != plod.MaxLevel {
+		return nil, fmt.Errorf("core: store mode %q does not support PLoD level %d (use the planes/COL mode)",
+			s.meta.mode, p.level)
+	}
+
 	// Bin selection.
 	type binSel struct {
 		bin      int
 		filterVC bool
 	}
 	var sel []binSel
-	var hier *binning.Selection
 	if s.hierPlan(req) {
 		hs := s.vidx.tree.Select(*req.VC)
-		hier = &hs
+		p.hier = &hs
 		sel = make([]binSel, 0, len(hs.Boundary))
 		for _, b := range hs.Boundary {
 			sel = append(sel, binSel{bin: b, filterVC: true})
@@ -202,8 +236,7 @@ func (s *Store) planTasks(req *query.Request) ([]task, int, *binning.Selection) 
 	for _, bs := range sel {
 		maxTasks += len(s.meta.bins[bs.bin].units)
 	}
-	tasks := make([]task, 0, maxTasks)
-	binsTouched := 0
+	p.tasks = make([]task, 0, maxTasks)
 	for _, bs := range sel {
 		bm := &s.meta.bins[bs.bin]
 		touched := false
@@ -212,14 +245,25 @@ func (s *Store) planTasks(req *query.Request) ([]task, int, *binning.Selection) 
 				continue
 			}
 			needData := !req.IndexOnly || bs.filterVC
-			tasks = append(tasks, task{bin: bs.bin, unit: ui, needData: needData, filterVC: bs.filterVC})
+			p.tasks = append(p.tasks, task{bin: bs.bin, unit: ui, needData: needData, filterVC: bs.filterVC})
 			touched = true
 		}
 		if touched {
-			binsTouched++
+			p.bins++
 		}
 	}
-	return tasks, binsTouched, hier
+	return p, nil
+}
+
+// dataPieces returns how many leading data pieces of a unit a read at
+// the PLoD level needs: the planes up to that level in planes mode, the
+// one float stream in floats mode. Data reads, decodes and Explain all
+// size a unit's data from it.
+func (s *Store) dataPieces(level int) int {
+	if s.meta.mode == ModePlanes {
+		return plod.PlanesForLevel(level)
+	}
+	return 1
 }
 
 // minNodesPerRank keeps node fan-out worthwhile: every rank that
@@ -259,104 +303,6 @@ func assignNodes(nodes []binning.NodeRef, loads []int) [][]binning.NodeRef {
 	return out
 }
 
-// runNodes answers one rank's share of the inside-subtree roots from
-// the vindex: all node bitmaps are fetched in a single coalesced read
-// batch from the vindex subfile (one open, extents sorted and
-// gap-merged across tree levels), then decoded and their set bits
-// emitted as matches (filtered by SC per point). Decode and filter
-// cost is charged per tree level — the span carries one virtual-clock
-// event per level, mirroring the per-level charging the build passes
-// report.
-func (s *Store) runNodes(ctx context.Context, clk *pfs.Clock, nodes []binning.NodeRef, req *query.Request, out *rankOut) error {
-	if len(nodes) == 0 {
-		return nil
-	}
-	if err := ctx.Err(); err != nil {
-		return fmt.Errorf("core: query canceled before vindex nodes: %w", err)
-	}
-	_, vs := obs.StartSpan(ctx, "vindex")
-	defer vs.End()
-	vs.SetInt("nodes", int64(len(nodes)))
-	if err := s.fs.Open(clk, s.vidx.path); err != nil {
-		return err
-	}
-
-	// One read batch for the whole node set: the payloads live in one
-	// subfile in level order, so sorting and gap-merging the extents
-	// costs at most a seek per disjoint run, not one per level.
-	t0 := clk.Now()
-	extents := make([]extent, len(nodes))
-	for i, n := range nodes {
-		id := s.vidx.nodeID(n)
-		extents[i] = extent{s.vidx.offs[id], s.vidx.lens[id]}
-	}
-	m, ioBytes, err := readCoalesced(s.fs, clk, s.vidx.path, extents)
-	if err != nil {
-		return err
-	}
-	out.bytes += ioBytes
-	out.time.IO += clk.Now() - t0
-	vs.Event("read", 0, clk.Now()-t0).SetInt("bytes", ioBytes)
-
-	// Group by level (ascending); Select emits nodes in leaf order, so
-	// a stable partition keeps each level's nodes sorted.
-	byLevel := make(map[int][]binning.NodeRef)
-	maxLevel := 0
-	for _, n := range nodes {
-		byLevel[n.Level] = append(byLevel[n.Level], n)
-		if n.Level > maxLevel {
-			maxLevel = n.Level
-		}
-	}
-	dims := s.meta.shape.Dims()
-	coords := make([]int, dims)
-	for l := 0; l <= maxLevel; l++ {
-		lvl := byLevel[l]
-		if len(lvl) == 0 {
-			continue
-		}
-		if err := ctx.Err(); err != nil {
-			return fmt.Errorf("core: query canceled at vindex level %d: %w", l, err)
-		}
-		l0 := clk.Now()
-		for _, n := range lvl {
-			if err := ctx.Err(); err != nil {
-				return fmt.Errorf("core: query canceled at vindex node %d/%d: %w", n.Level, n.Index, err)
-			}
-			id := s.vidx.nodeID(n)
-			raw, err := m.slice(s.vidx.offs[id], s.vidx.lens[id])
-			if err != nil {
-				return fmt.Errorf("core: vindex node %d: %w", id, err)
-			}
-			var w bitmap.WAH
-			decode := clk.MeasureCPU(func() {
-				err = w.UnmarshalBinary(raw)
-			})
-			out.time.Decompress += decode
-			if err != nil {
-				return fmt.Errorf("core: vindex node %d: %w", id, err)
-			}
-			filter := clk.MeasureCPU(func() {
-				it := w.Bits()
-				for lin, ok := it.Next(); ok; lin, ok = it.Next() {
-					if req.SC != nil {
-						coords = s.meta.shape.Coords(lin, coords[:0])
-						if !req.SC.Contains(coords) {
-							continue
-						}
-					}
-					out.matches = append(out.matches, query.Match{Index: lin})
-				}
-			})
-			out.filter += filter
-			out.time.Reconstruct += filter
-			out.nodesRead++
-		}
-		vs.Event("level", 0, clk.Now()-l0).SetInt("level", int64(l))
-	}
-	return nil
-}
-
 // assignTasks splits the task list across ranks. Column order hands
 // each rank a contiguous slice (few bins, thus few files, per rank);
 // round-robin stripes tasks across ranks (the ablation alternative,
@@ -386,20 +332,15 @@ func (s *Store) assignTasks(tasks []task, ranks int) [][]task {
 	return out
 }
 
-// runRank executes one rank's tasks, grouped by bin so each bin's files
-// are opened once and reads coalesce. Cancellation is checked at every
-// bin boundary: a bin is the engine's unit of I/O, so that is the
-// soonest point at which stopping saves PFS work.
-func (s *Store) runRank(ctx context.Context, clk *pfs.Clock, tasks []task, req *query.Request, level int, out *rankOut) error {
+// runBins executes one rank's tasks bin by bin, so each bin's files are
+// opened once and its reads coalesce.
+func (s *Store) runBins(ctx context.Context, clk *pfs.Clock, p *execPlan, tasks []task, out *rankOut) error {
 	for lo := 0; lo < len(tasks); {
 		hi := lo + 1
 		for hi < len(tasks) && tasks[hi].bin == tasks[lo].bin {
 			hi++
 		}
-		if err := ctx.Err(); err != nil {
-			return fmt.Errorf("core: query canceled before bin %d: %w", tasks[lo].bin, err)
-		}
-		if err := s.processBin(ctx, clk, tasks[lo:hi], req, level, out); err != nil {
+		if err := s.runBin(ctx, clk, p, tasks[lo:hi], out); err != nil {
 			return err
 		}
 		lo = hi
@@ -410,12 +351,27 @@ func (s *Store) runRank(ctx context.Context, clk *pfs.Clock, tasks []task, req *
 // extent is a byte range in a file.
 type extent struct{ off, length int64 }
 
-// processBin handles one rank's tasks within a single bin. When a
-// decode cache is attached, resident units are probed up front so their
-// data extents are never read, and misses are decoded through the
-// cache's single-flight path so concurrent queries decompress each unit
-// once.
-func (s *Store) processBin(ctx context.Context, clk *pfs.Clock, tasks []task, req *query.Request, level int, out *rankOut) error {
+// binUnit is one task's state inside runBin.
+type binUnit struct {
+	task
+	meta    *unitMeta
+	ix      pointIndexer
+	offsets []int32
+	// cached holds the unit's values when the decode-cache probe hit.
+	cached []float64
+}
+
+// runBin executes one rank's tasks within a single bin. Cancellation is
+// checked on entry (a bin is the engine's unit of I/O, so its boundary
+// is the soonest point at which stopping saves PFS work) and before each
+// unit's offset decode. The unit indices
+// are read and their offsets decoded first; with a position bitmap, a
+// unit holding no selected point drops out there, before any data read.
+// Units resident in the decode cache need neither a data read nor a
+// decode; the rest are read at the plan's level, and misses decode
+// through the cache's single-flight path so concurrent queries
+// decompress each unit once.
+func (s *Store) runBin(ctx context.Context, clk *pfs.Clock, p *execPlan, tasks []task, out *rankOut) error {
 	bin := tasks[0].bin
 	if s.hookBeforeBin != nil {
 		s.hookBeforeBin(bin)
@@ -427,103 +383,179 @@ func (s *Store) processBin(ctx context.Context, clk *pfs.Clock, tasks []task, re
 	defer bs.End()
 	bs.SetInt("bin", int64(bin))
 	bs.SetInt("units", int64(len(tasks)))
-	// Component snapshots: the deltas across this bin become the
-	// fetch/decode/reassemble/filter child spans. Decode and filter
-	// interleave per unit, so they are recorded as completed Events
-	// carrying virtual-clock seconds (wall time is not split).
 	before := *out
 	bm := &s.meta.bins[bin]
-	idxPath := binIndexPath(s.prefix, bin)
-	dataPath := binDataPath(s.prefix, bin)
 
-	// Cache probe: units already resident need neither a data read nor
-	// a decode. cached is aligned with tasks (nil = miss or no cache).
-	var cached [][]float64
-	if s.decodeCache != nil {
-		cached = make([][]float64, len(tasks))
-		for i, t := range tasks {
-			if !t.needData {
-				continue
-			}
-			if vals, ok := s.decodeCache.Get(s.cacheKey(bin, t.unit, level)); ok {
-				cached[i] = vals
-			}
-		}
-	}
-
-	// Index extents: every task needs its positional index.
-	idxExtents := make([]extent, 0, len(tasks))
-	needAnyData := false
+	extents := make([]extent, len(tasks))
 	for i, t := range tasks {
 		u := &bm.units[t.unit]
-		idxExtents = append(idxExtents, extent{u.indexOff, u.indexLen})
-		if t.needData && (cached == nil || cached[i] == nil) {
-			needAnyData = true
-		}
+		extents[i] = extent{u.indexOff, u.indexLen}
 	}
-	t0 := clk.Now()
-	wall0 := time.Now()
-	if err := s.fs.Open(clk, idxPath); err != nil {
-		return err
-	}
-	idxMap, ioBytes, err := readCoalesced(s.fs, clk, idxPath, idxExtents)
+	idxMap, err := s.readExtents(clk, binIndexPath(s.prefix, bin), extents, out)
 	if err != nil {
 		return err
 	}
-	out.bytes += ioBytes
+	units := make([]binUnit, 0, len(tasks))
+	for _, t := range tasks {
+		if err := ctx.Err(); err != nil {
+			return fmt.Errorf("core: query canceled at bin %d unit %d: %w", bin, t.unit, err)
+		}
+		bu := binUnit{task: t, meta: &bm.units[t.unit]}
+		raw, err := idxMap.slice(bu.meta.indexOff, bu.meta.indexLen)
+		if err != nil {
+			return fmt.Errorf("core: bin %d unit %d index: %w", bin, t.unit, err)
+		}
+		bu.ix = newPointIndexer(s.meta.shape, s.chunks.ChunkRegionByID(bu.meta.chunkID))
+		selected := true
+		reassemble := clk.MeasureCPU(func() {
+			bu.offsets, err = decodeOffsets(raw, int(bu.meta.count))
+			if err == nil && p.positions != nil {
+				selected = bu.ix.anyIn(bu.offsets, p.positions)
+			}
+		})
+		out.reassemble += reassemble
+		out.time.Reconstruct += reassemble
+		if err != nil {
+			return fmt.Errorf("core: bin %d unit %d index: %w", bin, t.unit, err)
+		}
+		if selected {
+			units = append(units, bu)
+		}
+	}
 
-	// Data extents for the required pieces of cache-missed units.
-	nPlanes := plod.PlanesForLevel(level)
-	var dataMap *extentMap
-	if needAnyData {
-		if err := s.fs.Open(clk, dataPath); err != nil {
-			return err
+	pieces := s.dataPieces(p.level)
+	dataExtents := make([]extent, 0, len(units)*pieces)
+	for i := range units {
+		bu := &units[i]
+		if !bu.needData {
+			continue
 		}
-		maxExtents := len(tasks)
-		if s.meta.mode == ModePlanes {
-			maxExtents *= nPlanes
-		}
-		dataExtents := make([]extent, 0, maxExtents)
-		for i, t := range tasks {
-			if !t.needData || (cached != nil && cached[i] != nil) {
+		if s.decodeCache != nil {
+			if vals, ok := s.decodeCache.Get(s.cacheKey(bin, bu.unit, p.level)); ok {
+				bu.cached = vals
 				continue
 			}
-			u := &bm.units[t.unit]
-			if s.meta.mode == ModePlanes {
-				for p := 0; p < nPlanes; p++ {
-					dataExtents = append(dataExtents, extent{u.pieceOff[p], u.pieceLen[p]})
-				}
-			} else {
-				dataExtents = append(dataExtents, extent{u.pieceOff[0], u.pieceLen[0]})
+		}
+		for k := 0; k < pieces; k++ {
+			dataExtents = append(dataExtents, extent{bu.meta.pieceOff[k], bu.meta.pieceLen[k]})
+		}
+	}
+	var dataMap *extentMap
+	if len(dataExtents) > 0 {
+		if dataMap, err = s.readExtents(clk, binDataPath(s.prefix, bin), dataExtents, out); err != nil {
+			return err
+		}
+	}
+
+	for i := range units {
+		bu := &units[i]
+		var values []float64
+		if bu.needData {
+			if values, err = s.unitValues(ctx, clk, bu.task, bu.meta, p.level, dataMap, bu.cached, out); err != nil {
+				return fmt.Errorf("core: bin %d unit %d data: %w", bin, bu.unit, err)
 			}
 		}
-		dataMap, ioBytes, err = readCoalesced(s.fs, clk, dataPath, dataExtents)
-		if err != nil {
-			return err
-		}
-		out.bytes += ioBytes
+		s.emit(clk, p, bu, values, out)
 	}
-	out.time.IO += clk.Now() - t0
-	bs.Event("fetch", time.Since(wall0), out.time.IO-before.time.IO).
-		SetInt("bytes", out.bytes-before.bytes)
+	costEvents(bs, &before, out)
+	return nil
+}
 
-	// Decode and emit.
-	for i, t := range tasks {
-		u := &bm.units[t.unit]
-		var hit []float64
-		if cached != nil {
-			hit = cached[i]
-		}
-		if err := s.emitUnit(ctx, clk, t, u, req, level, idxMap, dataMap, hit, out); err != nil {
-			return err
-		}
+// readExtents opens path and reads the extents in coalesced runs,
+// charging the bytes, the virtual I/O time and the wall time to out.
+// Bins and the vindex step both read through it.
+func (s *Store) readExtents(clk *pfs.Clock, path string, extents []extent, out *rankOut) (*extentMap, error) {
+	t0, wall0 := clk.Now(), time.Now()
+	if err := s.fs.Open(clk, path); err != nil {
+		return nil, err
 	}
-	bs.Event("decode", 0, out.time.Decompress-before.time.Decompress).
+	m, n, err := readCoalesced(s.fs, clk, path, extents)
+	if err != nil {
+		return nil, err
+	}
+	out.bytes += n
+	out.time.IO += clk.Now() - t0
+	out.fetchWall += time.Since(wall0)
+	return m, nil
+}
+
+// costEvents records a bin's (or the vindex step's) cost as the
+// fetch/decode/reassemble/filter events: the deltas of out since
+// before. Decode and filter interleave per unit, so they are completed
+// events carrying virtual-clock seconds; only reads have a wall time.
+func costEvents(sp *obs.Span, before, out *rankOut) {
+	sp.Event("fetch", out.fetchWall-before.fetchWall, out.time.IO-before.time.IO).
+		SetInt("bytes", out.bytes-before.bytes)
+	sp.Event("decode", 0, out.time.Decompress-before.time.Decompress).
 		SetInt("blocks", int64(out.blocks-before.blocks))
-	bs.Event("reassemble", 0, out.reassemble-before.reassemble)
-	bs.Event("filter", 0, out.filter-before.filter).
+	sp.Event("reassemble", 0, out.reassemble-before.reassemble)
+	sp.Event("filter", 0, out.filter-before.filter).
 		SetInt("matches", int64(len(out.matches)-len(before.matches)))
-	bs.SetInt("cache_hits", int64(out.cacheHits-before.cacheHits))
+	sp.SetInt("cache_hits", int64(out.cacheHits-before.cacheHits))
+}
+
+// runNodes answers one rank's share of the inside-subtree roots from
+// the vindex: the node bitmaps are fetched in one coalesced read batch
+// from the vindex subfile (the payloads sit in one file in level order,
+// so sorting and gap-merging the extents costs at most a seek per
+// disjoint run), then each is decoded and its set bits emitted as
+// matches, filtered by SC per point.
+func (s *Store) runNodes(ctx context.Context, clk *pfs.Clock, p *execPlan, nodes []binning.NodeRef, out *rankOut) error {
+	if len(nodes) == 0 {
+		return nil
+	}
+	if err := ctx.Err(); err != nil {
+		return fmt.Errorf("core: query canceled before vindex nodes: %w", err)
+	}
+	_, vs := obs.StartSpan(ctx, "vindex")
+	defer vs.End()
+	vs.SetInt("nodes", int64(len(nodes)))
+	before := *out
+	extents := make([]extent, len(nodes))
+	for i, n := range nodes {
+		id := s.vidx.nodeID(n)
+		extents[i] = extent{s.vidx.offs[id], s.vidx.lens[id]}
+	}
+	m, err := s.readExtents(clk, s.vidx.path, extents, out)
+	if err != nil {
+		return err
+	}
+
+	sc := p.req.SC
+	coords := make([]int, s.meta.shape.Dims())
+	for i, n := range nodes {
+		if err := ctx.Err(); err != nil {
+			return fmt.Errorf("core: query canceled at vindex node %d/%d: %w", n.Level, n.Index, err)
+		}
+		raw, err := m.slice(extents[i].off, extents[i].length)
+		if err != nil {
+			return fmt.Errorf("core: vindex node %d/%d: %w", n.Level, n.Index, err)
+		}
+		var w bitmap.WAH
+		out.time.Decompress += clk.MeasureCPU(func() {
+			err = w.UnmarshalBinary(raw)
+		})
+		if err != nil {
+			return fmt.Errorf("core: vindex node %d/%d: %w", n.Level, n.Index, err)
+		}
+		if w.Len() != s.vidx.bitLen {
+			return fmt.Errorf("core: vindex node %d/%d covers %d positions, grid has %d",
+				n.Level, n.Index, w.Len(), s.vidx.bitLen)
+		}
+		filter := clk.MeasureCPU(func() {
+			it := w.Bits()
+			for lin, ok := it.Next(); ok; lin, ok = it.Next() {
+				if sc != nil && !sc.Contains(s.meta.shape.Coords(lin, coords[:0])) {
+					continue
+				}
+				out.matches = append(out.matches, query.Match{Index: lin})
+			}
+		})
+		out.filter += filter
+		out.time.Reconstruct += filter
+		out.nodesRead++
+	}
+	costEvents(vs, &before, out)
 	return nil
 }
 
@@ -570,70 +602,78 @@ func (s *Store) unitValues(ctx context.Context, clk *pfs.Clock, t task, u *unitM
 	return values, nil
 }
 
-// emitUnit decodes one unit's index (and data when needed) and appends
-// the qualifying matches. cachedVals carries the unit's decoded values
-// when the bin-level cache probe hit (nil otherwise).
-func (s *Store) emitUnit(ctx context.Context, clk *pfs.Clock, t task, u *unitMeta, req *query.Request, level int, idxMap, dataMap *extentMap, cachedVals []float64, out *rankOut) error {
-	idxRaw, err := idxMap.slice(u.indexOff, u.indexLen)
-	if err != nil {
-		return fmt.Errorf("core: bin %d unit %d index: %w", t.bin, t.unit, err)
-	}
-	var offsets []int32
-	reassemble := clk.MeasureCPU(func() {
-		offsets, err = decodeOffsets(idxRaw, int(u.count))
-	})
-	if err != nil {
-		return fmt.Errorf("core: bin %d unit %d index: %w", t.bin, t.unit, err)
-	}
+// pointIndexer maps a chunk's row-major intra-chunk offsets to global
+// row-major indices. The strides are precomputed so the per-point
+// mapping avoids repeated bounds-checked Linear calls — the emit loop
+// it feeds dominates high-selectivity region queries.
+type pointIndexer struct {
+	reg             grid.Region
+	base            int64
+	strides, widths []int64
+}
 
-	var values []float64
-	if t.needData {
-		values, err = s.unitValues(ctx, clk, t, u, level, dataMap, cachedVals, out)
-		if err != nil {
-			return fmt.Errorf("core: bin %d unit %d data: %w", t.bin, t.unit, err)
+func newPointIndexer(shape grid.Shape, reg grid.Region) pointIndexer {
+	dims := shape.Dims()
+	ix := pointIndexer{reg: reg, strides: make([]int64, dims), widths: make([]int64, dims)}
+	ix.strides[dims-1] = 1
+	for d := dims - 2; d >= 0; d-- {
+		ix.strides[d] = ix.strides[d+1] * int64(shape[d+1])
+	}
+	for d := 0; d < dims; d++ {
+		ix.base += int64(reg.Lo[d]) * ix.strides[d]
+		ix.widths[d] = int64(reg.Hi[d] - reg.Lo[d])
+	}
+	return ix
+}
+
+// index returns the global linear index of intra-chunk offset off,
+// decomposing the offset and accumulating the index in one pass; it
+// also fills coords with the point's grid coordinates when non-nil.
+func (ix *pointIndexer) index(off int32, coords []int) int64 {
+	rem, lin := int64(off), ix.base
+	for d := len(ix.widths) - 1; d >= 0; d-- {
+		l := rem % ix.widths[d]
+		rem /= ix.widths[d]
+		lin += l * ix.strides[d]
+		if coords != nil {
+			coords[d] = ix.reg.Lo[d] + int(l)
 		}
 	}
+	return lin
+}
 
-	// Map intra-chunk offsets to global indices and filter. The chunk's
-	// global strides are precomputed so the per-point mapping avoids
-	// repeated bounds-checked Linear calls — this loop dominates
-	// high-selectivity region queries.
-	reg := s.chunks.ChunkRegionByID(u.chunkID)
-	chunkInSC := req.SC == nil || regionInside(reg, *req.SC)
-	dims := s.meta.shape.Dims()
-	global := make([]int, dims)
-	strides := make([]int64, dims)
-	widths := make([]int64, dims)
-	strides[dims-1] = 1
-	for d := dims - 2; d >= 0; d-- {
-		strides[d] = strides[d+1] * int64(s.meta.shape[d+1])
+// anyIn reports whether any of the offsets maps to a set position.
+func (ix *pointIndexer) anyIn(offsets []int32, positions *bitmap.Bitmap) bool {
+	for _, off := range offsets {
+		if positions.Get(ix.index(off, nil)) {
+			return true
+		}
 	}
-	var base int64
-	for d := 0; d < dims; d++ {
-		base += int64(reg.Lo[d]) * strides[d]
-		widths[d] = int64(reg.Hi[d] - reg.Lo[d])
+	return false
+}
+
+// emit appends a unit's qualifying points to out: each offset is mapped
+// to its global index, then tested against the SC, the plan's position
+// bitmap, and (misaligned bins) the VC on the unit's values.
+func (s *Store) emit(clk *pfs.Clock, p *execPlan, bu *binUnit, values []float64, out *rankOut) {
+	req := p.req
+	var coords []int // set only when the chunk straddles the SC
+	if req.SC != nil && !regionInside(bu.ix.reg, *req.SC) {
+		coords = make([]int, len(bu.ix.widths))
 	}
 	filter := clk.MeasureCPU(func() {
-		for i, off := range offsets {
-			// Decompose the intra-chunk offset and accumulate the
-			// global linear index in one pass.
-			rem := int64(off)
-			lin := base
-			for d := dims - 1; d >= 0; d-- {
-				l := rem % widths[d]
-				rem /= widths[d]
-				lin += l * strides[d]
-				if !chunkInSC {
-					global[d] = reg.Lo[d] + int(l)
-				}
+		for i, off := range bu.offsets {
+			lin := bu.ix.index(off, coords)
+			if coords != nil && !req.SC.Contains(coords) {
+				continue
 			}
-			if !chunkInSC && !req.SC.Contains(global) {
+			if p.positions != nil && !p.positions.Get(lin) {
 				continue
 			}
 			var v float64
 			if values != nil {
 				v = values[i]
-				if t.filterVC && !req.VC.Contains(v) {
+				if bu.filterVC && !req.VC.Contains(v) {
 					continue
 				}
 			}
@@ -644,11 +684,8 @@ func (s *Store) emitUnit(ctx context.Context, clk *pfs.Clock, t task, u *unitMet
 			out.matches = append(out.matches, m)
 		}
 	})
-
-	out.reassemble += reassemble
 	out.filter += filter
-	out.time.Reconstruct += reassemble + filter
-	return nil
+	out.time.Reconstruct += filter
 }
 
 // decodeUnitValues reconstructs the unit's values at the given PLoD
@@ -674,7 +711,7 @@ func (s *Store) decodeUnitValues(clk *pfs.Clock, u *unitMeta, level int, dataMap
 		return values, d, nil
 	}
 
-	nPlanes := plod.PlanesForLevel(level)
+	nPlanes := s.dataPieces(level)
 	planes := make([][]byte, nPlanes)
 	var decompress float64
 	for p := 0; p < nPlanes; p++ {
@@ -751,16 +788,6 @@ func decodeOffsets(raw []byte, count int) ([]int32, error) {
 		return nil, fmt.Errorf("offset stream has %d trailing bytes", n-pos) //mlocvet:ignore errprefix -- wrapped with the core prefix by the exported caller
 	}
 	return out, nil
-}
-
-// localCoords converts a row-major offset within a chunk region to
-// local coordinates.
-func localCoords(reg grid.Region, off int64, dst []int) {
-	for d := len(dst) - 1; d >= 0; d-- {
-		w := int64(reg.Hi[d] - reg.Lo[d])
-		dst[d] = int(off % w)
-		off /= w
-	}
 }
 
 // regionInside reports whether inner is fully contained in outer.

@@ -5,7 +5,6 @@ import (
 	"io"
 	"strings"
 
-	"mloc/internal/plod"
 	"mloc/internal/query"
 )
 
@@ -109,32 +108,22 @@ func (p *Plan) Observe(res *query.Result) {
 	}
 }
 
-// Explain plans a request against the store without executing it.
+// Explain plans a request against the store without executing it. Its
+// unit and byte counts come from the plan the executor would run.
 func (s *Store) Explain(req *query.Request) (*Plan, error) {
-	if err := req.Validate(s.meta.shape); err != nil {
+	ep, err := s.planQuery(req)
+	if err != nil {
 		return nil, err
 	}
-	level := req.PLoDLevel
-	if level == 0 {
-		level = plod.MaxLevel
-	}
-	if s.meta.mode == ModeFloats && level != plod.MaxLevel {
-		return nil, fmt.Errorf("core: store mode %q does not support PLoD level %d", s.meta.mode, level)
-	}
-	tasks, _, hier := s.planTasks(req)
-
-	p := &Plan{Order: s.meta.order, PlanesRead: 1}
-	if hier != nil {
+	p := &Plan{Order: s.meta.order, PlanesRead: s.dataPieces(ep.level)}
+	if ep.hier != nil {
 		p.Hierarchical = true
-		p.BinsPruned = hier.PrunedLeaves
-		p.BinsCovered = hier.CoveredLeaves
-		p.IndexNodes = len(hier.Inside)
-		for _, n := range hier.Inside {
+		p.BinsPruned = ep.hier.PrunedLeaves
+		p.BinsCovered = ep.hier.CoveredLeaves
+		p.IndexNodes = len(ep.hier.Inside)
+		for _, n := range ep.hier.Inside {
 			p.IndexBytes += s.vidx.lens[s.vidx.nodeID(n)]
 		}
-	}
-	if s.meta.mode == ModePlanes {
-		p.PlanesRead = plod.PlanesForLevel(level)
 	}
 	if req.VC != nil {
 		aligned, mis := s.scheme.SelectBins(*req.VC)
@@ -147,19 +136,15 @@ func (s *Store) Explain(req *query.Request) (*Plan, error) {
 	} else {
 		p.ChunksSelected = s.chunks.NumChunks()
 	}
-	for _, t := range tasks {
+	for _, t := range ep.tasks {
 		u := &s.meta.bins[t.bin].units[t.unit]
 		p.Units++
 		p.Points += int64(u.count)
 		p.IndexBytes += u.indexLen
 		if t.needData {
 			p.UnitsWithData++
-			if s.meta.mode == ModePlanes {
-				for pl := 0; pl < p.PlanesRead; pl++ {
-					p.DataBytes += u.pieceLen[pl]
-				}
-			} else {
-				p.DataBytes += u.pieceLen[0]
+			for _, n := range u.pieceLen[:p.PlanesRead] {
+				p.DataBytes += n
 			}
 		}
 	}

@@ -4,6 +4,7 @@ package core
 // surface as errors, never as wrong answers or panics.
 
 import (
+	"encoding/binary"
 	"strings"
 	"testing"
 
@@ -36,6 +37,43 @@ func anyQuery(t *testing.T, st *Store) error {
 	vc := binning.ValueConstraint{Min: -1e18, Max: 1e18}
 	_, err := st.Query(&query.Request{VC: &vc}, 2)
 	return err
+}
+
+// A vindex node whose bitmap length disagrees with the grid must fail
+// the query: iterating its bits would silently drop matches.
+func TestCorruptVindexNodeLengthErrors(t *testing.T) {
+	d := datagen.GTSLike(64, 64, 1)
+	v, _ := d.Var("phi")
+	fs := pfs.New(pfs.DefaultConfig())
+	cfg := DefaultConfig([]int{16, 16})
+	cfg.NumBins = 16
+	cfg.HierarchicalIndex = true
+	st, err := Build(fs, fs.NewClock(), "fi/hier", d.Shape, v.Data, cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	clk := pfs.NewClock()
+	raw, err := fs.ReadFile(clk, st.vidx.path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	// Rewrite every node's 8-byte bit length to half the grid.
+	buf := append([]byte(nil), raw...)
+	for _, off := range st.vidx.offs {
+		binary.LittleEndian.PutUint64(buf[off:], uint64(d.Shape.Elems()/2))
+	}
+	if err := fs.WriteFile(clk, st.vidx.path, buf); err != nil {
+		t.Fatal(err)
+	}
+	vc := binning.ValueConstraint{Min: -1e30, Max: 1e30}
+	res, err := st.Query(&query.Request{VC: &vc, IndexOnly: true}, 2)
+	if err == nil {
+		t.Fatalf("query over corrupt vindex nodes returned %d of %d matches and no error",
+			len(res.Matches), d.Shape.Elems())
+	}
+	if !strings.HasPrefix(err.Error(), "core:") {
+		t.Errorf("error %q lacks the core: prefix", err)
+	}
 }
 
 func TestMissingDataFileErrors(t *testing.T) {

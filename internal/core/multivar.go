@@ -3,12 +3,9 @@ package core
 import (
 	"context"
 	"fmt"
-	"time"
 
 	"mloc/internal/bitmap"
-	"mloc/internal/mpi"
 	"mloc/internal/obs"
-	"mloc/internal/pfs"
 	"mloc/internal/plod"
 	"mloc/internal/query"
 )
@@ -135,256 +132,32 @@ func (s *Store) FetchAt(positions *bitmap.Bitmap, ranks int) (*query.Result, err
 // FetchAtContext is FetchAt under a context; cancellation is honored at
 // every bin boundary, mirroring QueryContext.
 func (s *Store) FetchAtContext(ctx context.Context, positions *bitmap.Bitmap, ranks int) (*query.Result, error) {
+	return s.execute(ctx, ranks, func() (*execPlan, error) { return s.planFetch(positions) })
+}
+
+// planFetch plans a position fetch at full precision. Its tasks are
+// every bin's units in the chunks holding a selected position: a
+// position's bin is unknown until its index entry is seen, so all bins
+// of a hit chunk are candidates (their per-unit indices are small).
+// A fetch reports no bin accounting, so the plan's bins stays zero.
+func (s *Store) planFetch(positions *bitmap.Bitmap) (*execPlan, error) {
 	if positions.Len() != s.meta.shape.Elems() {
 		return nil, fmt.Errorf("core: bitmap length %d != grid %d", positions.Len(), s.meta.shape.Elems())
 	}
-	if ranks < 1 {
-		return nil, fmt.Errorf("core: ranks %d < 1", ranks)
-	}
-	if err := ctx.Err(); err != nil {
-		return nil, fmt.Errorf("core: fetch canceled: %w", err)
-	}
-
-	// Determine the chunks containing selected positions.
 	chunkHits := make(map[int64]bool)
 	coords := make([]int, s.meta.shape.Dims())
 	positions.Each(func(i int64) {
 		coords = s.meta.shape.Coords(i, coords[:0])
 		chunkHits[s.chunks.ChunkIDOf(coords)] = true
 	})
-
-	// Build tasks over every bin's units in those chunks (a position's
-	// bin is unknown until its index entry is seen, so all bins of a
-	// hit chunk are candidates — their per-unit indices are small).
-	var tasks []task
+	p := &execPlan{req: &query.Request{}, level: plod.MaxLevel, positions: positions}
 	for b := range s.meta.bins {
 		bm := &s.meta.bins[b]
 		for ui := range bm.units {
 			if chunkHits[bm.units[ui].chunkID] {
-				tasks = append(tasks, task{bin: b, unit: ui, needData: true})
+				p.tasks = append(p.tasks, task{bin: b, unit: ui, needData: true})
 			}
 		}
 	}
-	perRank := s.assignTasks(tasks, ranks)
-
-	outs := make([]rankOut, ranks)
-	clks := s.fs.NewClocks(ranks)
-	err := mpi.Run(ranks, func(c *mpi.Comm) error {
-		rctx, rs := obs.StartSpan(ctx, "rank")
-		rs.SetInt("rank", int64(c.Rank()))
-		rerr := s.fetchRank(rctx, clks[c.Rank()], perRank[c.Rank()], positions, &outs[c.Rank()])
-		o := &outs[c.Rank()]
-		rs.SetFloat("virt_total_s", o.time.Total())
-		rs.SetInt("matches", int64(len(o.matches)))
-		rs.SetInt("bytes", o.bytes)
-		rs.SetInt("cache_hits", int64(o.cacheHits))
-		rs.End()
-		return rerr
-	})
-	if err != nil {
-		return nil, err
-	}
-	res := &query.Result{}
-	var slowest float64
-	for i := range outs {
-		res.Matches = append(res.Matches, outs[i].matches...)
-		res.BytesRead += outs[i].bytes
-		res.BlocksRead += outs[i].blocks
-		res.CacheHits += outs[i].cacheHits
-		if t := outs[i].time.Total(); t >= slowest {
-			slowest = t
-			res.Time = outs[i].time
-		}
-	}
-	res.Sort()
-	return res, nil
-}
-
-// fetchRank processes a rank's fetch tasks bin by bin; per-bin scratch
-// (the coordinate buffers) is shared across bins.
-func (s *Store) fetchRank(ctx context.Context, clk *pfs.Clock, tasks []task, positions *bitmap.Bitmap, out *rankOut) error {
-	dims := s.meta.shape.Dims()
-	local := make([]int, dims)
-	global := make([]int, dims)
-	for lo := 0; lo < len(tasks); {
-		hi := lo + 1
-		for hi < len(tasks) && tasks[hi].bin == tasks[lo].bin {
-			hi++
-		}
-		binTasks := tasks[lo:hi]
-		lo = hi
-		if err := s.fetchBin(ctx, clk, binTasks, positions, local, global, out); err != nil {
-			return err
-		}
-	}
-	return nil
-}
-
-// fetchBin handles one rank's fetch tasks within a single bin: read the
-// unit indices first, and only read data for units that actually
-// contain selected positions (and, with a decode cache attached, are
-// not already resident).
-func (s *Store) fetchBin(ctx context.Context, clk *pfs.Clock, binTasks []task, positions *bitmap.Bitmap, local, global []int, out *rankOut) error {
-	bin := binTasks[0].bin
-	if s.hookBeforeBin != nil {
-		s.hookBeforeBin(bin)
-	}
-	if err := ctx.Err(); err != nil {
-		return fmt.Errorf("core: fetch canceled at bin %d: %w", bin, err)
-	}
-	_, bs := obs.StartSpan(ctx, "bin")
-	defer bs.End()
-	bs.SetInt("bin", int64(bin))
-	bs.SetInt("units", int64(len(binTasks)))
-	before := *out
-	dims := s.meta.shape.Dims()
-	bm := &s.meta.bins[bin]
-	idxPath := binIndexPath(s.prefix, bin)
-	dataPath := binDataPath(s.prefix, bin)
-
-	t0 := clk.Now()
-	wall0 := time.Now()
-	if err := s.fs.Open(clk, idxPath); err != nil {
-		return err
-	}
-	idxExtents := make([]extent, 0, len(binTasks))
-	for _, t := range binTasks {
-		u := &bm.units[t.unit]
-		idxExtents = append(idxExtents, extent{u.indexOff, u.indexLen})
-	}
-	idxMap, ioBytes, err := readCoalesced(s.fs, clk, idxPath, idxExtents)
-	if err != nil {
-		return err
-	}
-	out.bytes += ioBytes
-	out.time.IO += clk.Now() - t0
-
-	// Decode indices; keep only units with selected positions. This is
-	// reassembly work: offset decoding plus position lookups.
-	type hitUnit struct {
-		t    task
-		hits []int // indices into the unit's point list
-		offs []int32
-	}
-	var hits []hitUnit
-	var decodeErr error
-	reassemble := clk.MeasureCPU(func() {
-		for _, t := range binTasks {
-			u := &bm.units[t.unit]
-			raw, err := idxMap.slice(u.indexOff, u.indexLen)
-			if err != nil {
-				decodeErr = err
-				return
-			}
-			offs, err := decodeOffsets(raw, int(u.count))
-			if err != nil {
-				decodeErr = err
-				return
-			}
-			reg := s.chunks.ChunkRegionByID(u.chunkID)
-			var hu hitUnit
-			for i, off := range offs {
-				localCoords(reg, int64(off), local)
-				for d := 0; d < dims; d++ {
-					global[d] = reg.Lo[d] + local[d]
-				}
-				if positions.Get(s.meta.shape.Linear(global)) {
-					hu.hits = append(hu.hits, i)
-				}
-			}
-			if hu.hits != nil {
-				hu.t = t
-				hu.offs = offs
-				hits = append(hits, hu)
-			}
-		}
-	})
-	out.reassemble += reassemble
-	out.time.Reconstruct += reassemble
-	if decodeErr != nil {
-		return decodeErr
-	}
-	if len(hits) != 0 {
-		// Probe the decode cache: resident units need no data read.
-		cached := make([][]float64, len(hits))
-		missing := 0
-		if s.decodeCache != nil {
-			for i, h := range hits {
-				if vals, ok := s.decodeCache.Get(s.cacheKey(bin, h.t.unit, plod.MaxLevel)); ok {
-					cached[i] = vals
-				} else {
-					missing++
-				}
-			}
-		} else {
-			missing = len(hits)
-		}
-
-		// Read data only for hit units the cache could not serve.
-		var dataMap *extentMap
-		if missing > 0 {
-			t1 := clk.Now()
-			if err := s.fs.Open(clk, dataPath); err != nil {
-				return err
-			}
-			maxExtents := len(hits)
-			if s.meta.mode == ModePlanes {
-				maxExtents *= plod.NumPlanes
-			}
-			dataExtents := make([]extent, 0, maxExtents)
-			for i, h := range hits {
-				if cached[i] != nil {
-					continue
-				}
-				u := &bm.units[h.t.unit]
-				if s.meta.mode == ModePlanes {
-					for p := 0; p < plod.NumPlanes; p++ {
-						dataExtents = append(dataExtents, extent{u.pieceOff[p], u.pieceLen[p]})
-					}
-				} else {
-					dataExtents = append(dataExtents, extent{u.pieceOff[0], u.pieceLen[0]})
-				}
-			}
-			var ioBytes int64
-			var err error
-			dataMap, ioBytes, err = readCoalesced(s.fs, clk, dataPath, dataExtents)
-			if err != nil {
-				return err
-			}
-			out.bytes += ioBytes
-			out.time.IO += clk.Now() - t1
-		}
-
-		for i, h := range hits {
-			u := &bm.units[h.t.unit]
-			values, err := s.unitValues(ctx, clk, h.t, u, plod.MaxLevel, dataMap, cached[i], out)
-			if err != nil {
-				return err
-			}
-			reg := s.chunks.ChunkRegionByID(u.chunkID)
-			filter := clk.MeasureCPU(func() {
-				for _, i := range h.hits {
-					localCoords(reg, int64(h.offs[i]), local)
-					for d := 0; d < dims; d++ {
-						global[d] = reg.Lo[d] + local[d]
-					}
-					out.matches = append(out.matches, query.Match{
-						Index: s.meta.shape.Linear(global),
-						Value: values[i],
-					})
-				}
-			})
-			out.filter += filter
-			out.time.Reconstruct += filter
-		}
-	}
-	bs.Event("fetch", time.Since(wall0), out.time.IO-before.time.IO).
-		SetInt("bytes", out.bytes-before.bytes)
-	bs.Event("decode", 0, out.time.Decompress-before.time.Decompress).
-		SetInt("blocks", int64(out.blocks-before.blocks))
-	bs.Event("reassemble", 0, out.reassemble-before.reassemble)
-	bs.Event("filter", 0, out.filter-before.filter).
-		SetInt("matches", int64(len(out.matches)-len(before.matches)))
-	bs.SetInt("cache_hits", int64(out.cacheHits-before.cacheHits))
-	return nil
+	return p, nil
 }

@@ -67,26 +67,43 @@ func componentEvent(d *obs.SpanDump) bool {
 	return false
 }
 
+// TestQuerySpanTreeSumsToLatency checks the invariant on a flat store
+// and on the hierarchical path, whose vindex step must emit the same
+// component events as a bin.
 func TestQuerySpanTreeSumsToLatency(t *testing.T) {
 	data, shape := obsTestData(t)
-	cfg := DefaultConfig([]int{16, 16})
-	cfg.NumBins = 16
-	fs := pfs.New(pfs.DefaultConfig())
-	clk := fs.NewClock()
-	st, err := Build(fs, clk, "q/phi", shape, data, cfg)
-	if err != nil {
-		t.Fatal(err)
+	for _, tc := range []struct {
+		name string
+		hier bool
+	}{{"flat", false}, {"hierarchical", true}} {
+		t.Run(tc.name, func(t *testing.T) {
+			cfg := DefaultConfig([]int{16, 16})
+			cfg.NumBins = 16
+			cfg.HierarchicalIndex = tc.hier
+			fs := pfs.New(pfs.DefaultConfig())
+			st, err := Build(fs, fs.NewClock(), "q/phi", shape, data, cfg)
+			if err != nil {
+				t.Fatal(err)
+			}
+			req := &query.Request{VC: obsTestVC(data), IndexOnly: tc.hier}
+			checkSpanTreeSums(t, st, req)
+		})
 	}
+}
 
+func checkSpanTreeSums(t *testing.T, st *Store, req *query.Request) {
+	t.Helper()
 	tr := obs.NewTracer(4)
 	ctx, root := tr.StartTrace(context.Background(), "query")
-	req := &query.Request{VC: obsTestVC(data)}
 	res, err := st.QueryContext(ctx, req, 4)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if len(res.Matches) == 0 {
 		t.Fatal("query matched nothing; test data or VC is broken")
+	}
+	if st.Hierarchical() && res.IndexNodesRead == 0 {
+		t.Fatal("hierarchical query read no vindex nodes")
 	}
 	root.End()
 

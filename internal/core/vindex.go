@@ -79,30 +79,12 @@ func buildVindex(fs *pfs.Sim, clk *pfs.Clock, prefix string, tree *binning.Tree,
 
 	// Level 0: leaf bitmaps from the binned points.
 	cpu := clk.MeasureCPU(func() {
-		dims := shape.Dims()
-		strides := make([]int64, dims)
-		strides[dims-1] = 1
-		for d := dims - 2; d >= 0; d-- {
-			strides[d] = strides[d+1] * int64(shape[d+1])
-		}
-		widths := make([]int64, dims)
 		for b := 0; b < nbins; b++ {
 			bm := bitmap.New(bitLen)
 			for _, u := range perBin[b] {
-				reg := chunks.ChunkRegionByID(u.chunkID)
-				var base int64
-				for d := 0; d < dims; d++ {
-					base += int64(reg.Lo[d]) * strides[d]
-					widths[d] = int64(reg.Hi[d] - reg.Lo[d])
-				}
+				ix := newPointIndexer(shape, chunks.ChunkRegionByID(u.chunkID))
 				for _, off := range u.offsets {
-					rem := int64(off)
-					lin := base
-					for d := dims - 1; d >= 0; d-- {
-						lin += (rem % widths[d]) * strides[d]
-						rem /= widths[d]
-					}
-					bm.Set(lin)
+					bm.Set(ix.index(off, nil))
 				}
 			}
 			nodes[b] = bitmap.Compress(bm)

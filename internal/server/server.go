@@ -417,17 +417,22 @@ func (s *Server) handleQuery(w http.ResponseWriter, r *http.Request) {
 		s.admissionFailure(w, err)
 		return
 	}
-	defer s.adm.release()
 	s.queueWait.Observe(queued.Seconds())
 	root.SetFloat("queued_ms", float64(queued.Microseconds())/1000)
 
-	res, err := st.QueryContext(ctx, req, ranks)
+	// The slot bounds engine work only. Freeing it before the response
+	// is written means a client holding its answer never sees its own
+	// query still in flight, and the next queued query starts sooner.
+	res, err := func() (*query.Result, error) {
+		defer s.adm.release()
+		return st.QueryContext(ctx, req, ranks)
+	}()
 	if err != nil {
 		if errors.Is(err, context.Canceled) || errors.Is(err, context.DeadlineExceeded) {
 			// The client is gone; nothing useful can be written. The
 			// point of this path is that the engine already stopped at a
-			// bin boundary and the deferred release frees the slot now
-			// rather than after the full scan.
+			// bin boundary and the slot is free now rather than after the
+			// full scan.
 			s.queriesCanceled.Inc()
 			s.recordQuery(wire.Var, st, nil, queued, time.Since(start), root.TraceID(), "canceled")
 			WriteError(w, http.StatusServiceUnavailable, "query canceled")
